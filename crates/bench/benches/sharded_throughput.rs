@@ -16,8 +16,9 @@
 //!   After the pairs, one instrumented ring run per shard count prints
 //!   the per-shard occupancy/park/drop counters.
 //! * `sharded_throughput/query` — the non-blocking query plane on a live
-//!   4-shard ring monitor: `cached` re-serves the epoch-keyed merge,
-//!   `per-merge` K-way-merges the latest snapshots from scratch. Row ids
+//!   4-shard ring monitor: `cached` re-serves the merge cached on the
+//!   published summaries' identity, `per-merge` K-way-merges the latest
+//!   snapshots from scratch. Row ids
 //!   mirror `windowed_throughput/query` in `update_speed` so CI can
 //!   compare the two caches directly.
 //! * `sharded_throughput/merge` — the harvest-time cost of one

@@ -30,17 +30,21 @@
 //! [`SpawnOptions`] as the differential baseline.
 //!
 //! **The query plane never joins or blocks the workers.** Each worker
-//! periodically publishes an epoch-stamped [`ShardSnapshot`] — a clone of
-//! its summary — through an atomically swappable pointer (`arc-swap`):
-//! every `publish_every` batches for [`ShardedMonitor`], at every pane
-//! rotation for [`WindowedShardedMonitor`], and once at exit. A live
-//! `query(θ)` loads the latest snapshot from every shard and K-way-merges
-//! them via [`Rhhh::merge_many`], caching the merged instance keyed by the
-//! epoch vector (the cross-thread generalization of the pane-ring query
-//! cache in [`hhh_core::WindowedRhhh`]): repeated queries between
-//! publications cost one `Output(θ)` scan, not a re-merge. Snapshots are
-//! clones, so publication never perturbs the worker's state and the
-//! harvest stays bit-identical whether or when queries ran.
+//! periodically publishes an epoch-stamped [`ShardSnapshot`] — a shared
+//! summary behind an `Arc` — through an atomically swappable pointer
+//! (`arc-swap`): every `publish_every` batches for [`ShardedMonitor`], at
+//! every pane rotation for [`WindowedShardedMonitor`], and once at exit.
+//! The windowed worker merges its completed panes once per rotation and
+//! re-publishes that same `Arc` on every marker until the next rotation,
+//! so a re-publish between rotations costs O(1), not a clone and a merge.
+//! A live `query(θ)` loads the latest snapshot from every shard and
+//! K-way-merges them via [`Rhhh::merge_many`] (a single shard's summary is
+//! used as is), caching the merged instance keyed by the identity of the
+//! summaries it was built from (the cross-thread generalization of the
+//! pane-ring query cache in [`hhh_core::WindowedRhhh`]): repeated queries
+//! over unchanged summaries cost one `Output(θ)` scan, not a re-merge.
+//! Snapshots are clones, so publication never perturbs the worker's state
+//! and the harvest stays bit-identical whether or when queries ran.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -75,21 +79,25 @@ fn shard_of_key<K: KeyBits>(key: K, shards: usize) -> usize {
 /// the monitor-visible slot so readers never block the worker.
 ///
 /// `epoch` increments with every publication (the initial empty snapshot
-/// is epoch 0), so the query cache can detect staleness by comparing
-/// epoch vectors. `batches` counts the hand-off units folded into
-/// `summary` — a query made after this snapshot reflects every batch the
-/// worker acknowledged before publishing it, and is stale by at most one
-/// publication interval.
+/// is epoch 0). `batches` counts the hand-off units the worker had
+/// acknowledged at publication — a query made after this snapshot is
+/// stale by at most one publication interval.
+///
+/// `summary` is shared, not owned: successive snapshots whose summary did
+/// not change hold the same `Arc` (the windowed worker re-publishes its
+/// merged window on every marker between two rotations), so the query
+/// cache keys on summary identity ([`Arc::ptr_eq`]), not on epochs — a
+/// new epoch over an unchanged summary is served from the cache.
 #[derive(Debug)]
 pub struct ShardSnapshot<K: KeyBits, E: FrequencyEstimator<K>> {
     /// Publication sequence number (0 = the pre-feed empty snapshot).
     pub epoch: u64,
-    /// Batches folded into `summary` at publication time.
+    /// Batches the worker had acknowledged at publication time.
     pub batches: u64,
-    /// Clone of the worker's RHHH state (for the windowed monitor: the
+    /// Snapshot of the worker's RHHH state (for the windowed monitor: the
     /// merged completed window, or the active pane before any rotation —
     /// mirroring `harvest_window`'s coverage rule).
-    pub summary: Rhhh<K, E>,
+    pub summary: Arc<Rhhh<K, E>>,
 }
 
 /// One hand-off unit on a shard's conduit: a batch of unit-weight keys
@@ -146,29 +154,71 @@ fn join_shards<T>(handles: Vec<JoinHandle<T>>) -> Result<Vec<T>, MergeError> {
     }
 }
 
-/// Stores a fresh epoch-stamped snapshot of `summary` into `slot`.
-fn publish_snapshot<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
+/// Stores a fresh epoch-stamped snapshot sharing `summary` into `slot`.
+fn publish_snapshot<K: KeyBits, E: FrequencyEstimator<K>>(
     slot: &ArcSwap<ShardSnapshot<K, E>>,
     epoch: &mut u64,
     batches: u64,
-    summary: &Rhhh<K, E>,
+    summary: Arc<Rhhh<K, E>>,
 ) {
     *epoch += 1;
     slot.store(Arc::new(ShardSnapshot {
         epoch: *epoch,
         batches,
-        summary: summary.clone(),
+        summary,
     }));
 }
 
-/// K-way-merges one summary clone per snapshot (the read side of the
-/// query plane; never touches the workers).
-fn merge_snapshots<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
-    snaps: &[Arc<ShardSnapshot<K, E>>],
-) -> Rhhh<K, E> {
-    let mut merged = snaps[0].summary.clone();
-    merged.merge_many(snaps[1..].iter().map(|s| s.summary.clone()).collect());
-    merged
+/// The latest published summary of every shard.
+fn latest_summaries<K: KeyBits, E: FrequencyEstimator<K>>(
+    slots: &[Arc<ArcSwap<ShardSnapshot<K, E>>>],
+) -> Vec<Arc<Rhhh<K, E>>> {
+    slots
+        .iter()
+        .map(|s| Arc::clone(&s.load_full().summary))
+        .collect()
+}
+
+/// K-way-merges the shards' summaries (the read side of the query plane;
+/// never touches the workers). A single shard's summary is shared as is.
+fn merge_summaries<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
+    summaries: &[Arc<Rhhh<K, E>>],
+) -> Arc<Rhhh<K, E>> {
+    if let [only] = summaries {
+        return Arc::clone(only);
+    }
+    let mut merged = Rhhh::clone(&summaries[0]);
+    merged.merge_many(summaries[1..].iter().map(|s| Rhhh::clone(s)).collect());
+    Arc::new(merged)
+}
+
+/// A live-query merge together with the summaries it was built from. The
+/// cache holds those `Arc`s, so a matching pointer can never be a freed
+/// and reused allocation.
+#[derive(Debug)]
+struct QueryCache<K: KeyBits, E: FrequencyEstimator<K>> {
+    sources: Vec<Arc<Rhhh<K, E>>>,
+    merged: Arc<Rhhh<K, E>>,
+}
+
+/// The merge of the latest snapshots, rebuilt only when some shard has
+/// published a different summary since `cache` was filled.
+fn cached_merge<'a, K: KeyBits, E: FrequencyEstimator<K> + Clone>(
+    slots: &[Arc<ArcSwap<ShardSnapshot<K, E>>>],
+    cache: &'a mut Option<QueryCache<K, E>>,
+) -> &'a Rhhh<K, E> {
+    let sources = latest_summaries(slots);
+    let fresh = cache.as_ref().is_some_and(|c| {
+        c.sources
+            .iter()
+            .zip(&sources)
+            .all(|(a, b)| Arc::ptr_eq(a, b))
+    });
+    if !fresh {
+        let merged = merge_summaries(&sources);
+        *cache = Some(QueryCache { sources, merged });
+    }
+    &cache.as_ref().expect("cache filled above").merged
 }
 
 /// Shard-parallel RHHH monitor: `N` worker threads, each owning one RHHH
@@ -201,9 +251,9 @@ pub struct ShardedMonitor<K: KeyBits = u64, E: FrequencyEstimator<K> = SpaceSavi
     /// used).
     weight: u64,
     per_shard: Vec<u64>,
-    /// Live-query merge cache keyed by the snapshot epoch vector; stays
-    /// valid until any shard publishes again.
-    query_cache: Option<(Vec<u64>, Rhhh<K, E>)>,
+    /// Live-query merge cache keyed by the published summaries' identity;
+    /// stays valid until any shard publishes a new summary.
+    query_cache: Option<QueryCache<K, E>>,
     label: String,
 }
 
@@ -271,7 +321,7 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
             let slot = Arc::new(ArcSwap::from_pointee(ShardSnapshot {
                 epoch: 0,
                 batches: 0,
-                summary: worker.clone(),
+                summary: Arc::new(worker.clone()),
             }));
             snapshots.push(Arc::clone(&slot));
             let (tx, rx) = conduit::<ShardBatch<K>>(opts.handoff, QUEUE_BATCHES);
@@ -281,29 +331,22 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
                 let mut epoch = 0u64;
                 while let Some(msg) = rx.recv() {
                     match msg {
-                        ShardBatch::Unit(keys) => {
-                            worker.update_batch(&keys);
-                            batches += 1;
-                            if batches.is_multiple_of(publish_every) {
-                                publish_snapshot(&slot, &mut epoch, batches, &worker);
-                            }
-                        }
-                        ShardBatch::Weighted(packets) => {
-                            worker.update_batch_weighted(&packets);
-                            batches += 1;
-                            if batches.is_multiple_of(publish_every) {
-                                publish_snapshot(&slot, &mut epoch, batches, &worker);
-                            }
-                        }
+                        ShardBatch::Unit(keys) => worker.update_batch(&keys),
+                        ShardBatch::Weighted(packets) => worker.update_batch_weighted(&packets),
                         ShardBatch::Publish => {
-                            publish_snapshot(&slot, &mut epoch, batches, &worker);
+                            publish_snapshot(&slot, &mut epoch, batches, Arc::new(worker.clone()));
+                            continue;
                         }
                         ShardBatch::Poison => panic!("injected shard failure"),
+                    }
+                    batches += 1;
+                    if batches.is_multiple_of(publish_every) {
+                        publish_snapshot(&slot, &mut epoch, batches, Arc::new(worker.clone()));
                     }
                 }
                 // Final publication so late readers see the full
                 // sub-stream even without harvesting.
-                publish_snapshot(&slot, &mut epoch, batches, &worker);
+                publish_snapshot(&slot, &mut epoch, batches, Arc::new(worker.clone()));
                 worker
             })?;
             senders.push(tx.bind(handle.thread().clone()));
@@ -450,56 +493,30 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> ShardedMonitor<K, E> {
         }
     }
 
-    /// Ensures the query cache holds the merge of the latest snapshots.
-    fn refresh_query_cache(&mut self) {
-        let snaps: Vec<Arc<ShardSnapshot<K, E>>> =
-            self.snapshots.iter().map(|s| s.load_full()).collect();
-        let epochs: Vec<u64> = snaps.iter().map(|s| s.epoch).collect();
-        if let Some((cached, _)) = &self.query_cache {
-            if *cached == epochs {
-                return;
-            }
-        }
-        let merged = merge_snapshots(&snaps);
-        self.query_cache = Some((epochs, merged));
-    }
-
     /// Live `Output(θ)` over the latest published snapshots — never
     /// joins, blocks, or slows the workers. The K-way merge is cached
-    /// keyed by the snapshot epoch vector, so repeated queries between
-    /// publications cost one output scan (the cross-thread analogue of
-    /// [`hhh_core::WindowedRhhh::query`]'s cache). Staleness is bounded
-    /// by one publication interval per shard plus whatever sits in the
-    /// monitor's partial buffers; call [`ShardedMonitor::publish_now`]
-    /// first for an up-to-the-call answer.
+    /// keyed by the identity of the published summaries, so repeated
+    /// queries between publications cost one output scan (the
+    /// cross-thread analogue of [`hhh_core::WindowedRhhh::query`]'s
+    /// cache). Staleness is bounded by one publication interval per shard
+    /// plus whatever sits in the monitor's partial buffers; call
+    /// [`ShardedMonitor::publish_now`] first for an up-to-the-call answer.
     pub fn query(&mut self, theta: f64) -> Vec<HeavyHitter<K>> {
-        self.refresh_query_cache();
-        self.query_cache
-            .as_ref()
-            .expect("cache refreshed above")
-            .1
-            .output(theta)
+        cached_merge(&self.snapshots, &mut self.query_cache).output(theta)
     }
 
-    /// [`ShardedMonitor::query`] without the epoch cache: re-merges the
-    /// latest snapshots on every call. The differential baseline the
-    /// bench races the cached path against.
+    /// [`ShardedMonitor::query`] without the cache: re-merges the latest
+    /// snapshots on every call. The differential baseline the bench races
+    /// the cached path against.
     #[must_use]
     pub fn query_fresh(&self, theta: f64) -> Vec<HeavyHitter<K>> {
-        let snaps: Vec<Arc<ShardSnapshot<K, E>>> =
-            self.snapshots.iter().map(|s| s.load_full()).collect();
-        merge_snapshots(&snaps).output(theta)
+        merge_summaries(&latest_summaries(&self.snapshots)).output(theta)
     }
 
     /// Packets covered by the current snapshot merge — how much of the
     /// fed stream a live query reflects right now.
     pub fn query_coverage(&mut self) -> u64 {
-        self.refresh_query_cache();
-        self.query_cache
-            .as_ref()
-            .expect("cache refreshed above")
-            .1
-            .packets()
+        cached_merge(&self.snapshots, &mut self.query_cache).packets()
     }
 
     /// Failure-injection hook for chaos tests: kills the given shard's
@@ -570,26 +587,19 @@ enum WindowedShardMsg<K> {
     Poison,
 }
 
-/// Stores a fresh epoch-stamped snapshot of the ring's current windowed
-/// answer: the merged completed panes, or the active pane before the
-/// first rotation — exactly the coverage rule
-/// [`WindowedShardedMonitor::harvest_window`] applies, so live queries
-/// and the harvest agree on semantics.
-fn publish_window_snapshot<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
-    slot: &ArcSwap<ShardSnapshot<K, E>>,
-    epoch: &mut u64,
-    batches: u64,
+/// A windowed worker's snapshot summary under the coverage rule
+/// [`WindowedShardedMonitor::harvest_window`] applies, so live queries and
+/// the harvest agree on semantics: the merged completed panes (shared, as
+/// merged at the last rotation), or the active pane before the first
+/// rotation (cloned).
+fn window_summary<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
+    merged: &Option<Arc<Rhhh<K, E>>>,
     ring: &PaneRing<K, E>,
-) {
-    *epoch += 1;
-    let summary = ring
-        .merged_window()
-        .unwrap_or_else(|| ring.active().clone());
-    slot.store(Arc::new(ShardSnapshot {
-        epoch: *epoch,
-        batches,
-        summary,
-    }));
+) -> Arc<Rhhh<K, E>> {
+    match merged {
+        Some(merged) => Arc::clone(merged),
+        None => Arc::new(ring.active().clone()),
+    }
 }
 
 /// Shard-parallel **sliding-window** RHHH: the windowed twin of
@@ -608,9 +618,11 @@ fn publish_window_snapshot<K: KeyBits, E: FrequencyEstimator<K> + Clone>(
 /// pane-ring analysis), so the end-to-end bound is the same summed
 /// per-pane bound a single-threaded [`hhh_core::WindowedRhhh`] earns.
 ///
-/// Workers publish their merged-window snapshot at every rotation, so
-/// [`WindowedShardedMonitor::query`] serves the sliding-window answer
-/// live — stale by at most one pane — without joining anything.
+/// Workers merge their completed panes once per rotation and publish that
+/// merged window as their snapshot, so [`WindowedShardedMonitor::query`]
+/// serves the sliding-window answer live — stale by at most one pane —
+/// without joining anything, and a [`WindowedShardedMonitor::publish_now`]
+/// between rotations re-publishes the same summary instead of re-merging.
 #[derive(Debug)]
 pub struct WindowedShardedMonitor<K: KeyBits = u64, E: FrequencyEstimator<K> = SpaceSaving<K>> {
     senders: Vec<ShardTx<WindowedShardMsg<K>>>,
@@ -625,7 +637,7 @@ pub struct WindowedShardedMonitor<K: KeyBits = u64, E: FrequencyEstimator<K> = S
     packets: u64,
     pane_fill: u64,
     rotations: u64,
-    query_cache: Option<(Vec<u64>, Rhhh<K, E>)>,
+    query_cache: Option<QueryCache<K, E>>,
     label: String,
 }
 
@@ -713,7 +725,7 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> WindowedShardedMonitor
             let slot = Arc::new(ArcSwap::from_pointee(ShardSnapshot {
                 epoch: 0,
                 batches: 0,
-                summary: ring.active().clone(),
+                summary: Arc::new(ring.active().clone()),
             }));
             snapshots.push(Arc::clone(&slot));
             let (tx, rx) = conduit::<WindowedShardMsg<K>>(opts.handoff, QUEUE_BATCHES);
@@ -721,23 +733,27 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> WindowedShardedMonitor
                 let mut ring = ring;
                 let mut batches = 0u64;
                 let mut epoch = 0u64;
+                // The merged completed panes, refreshed at each rotation:
+                // they only change there, so every publication until the
+                // next rotation shares this one merge.
+                let mut merged: Option<Arc<Rhhh<K, E>>> = None;
                 while let Some(msg) = rx.recv() {
                     match msg {
                         WindowedShardMsg::Batch(keys) => {
                             ring.active_mut().update_batch(&keys);
                             batches += 1;
+                            continue;
                         }
                         WindowedShardMsg::Rotate => {
                             ring.rotate();
-                            publish_window_snapshot(&slot, &mut epoch, batches, &ring);
+                            merged = ring.merged_window().map(Arc::new);
                         }
-                        WindowedShardMsg::Publish => {
-                            publish_window_snapshot(&slot, &mut epoch, batches, &ring);
-                        }
+                        WindowedShardMsg::Publish => {}
                         WindowedShardMsg::Poison => panic!("injected shard failure"),
                     }
+                    publish_snapshot(&slot, &mut epoch, batches, window_summary(&merged, &ring));
                 }
-                publish_window_snapshot(&slot, &mut epoch, batches, &ring);
+                publish_snapshot(&slot, &mut epoch, batches, window_summary(&merged, &ring));
                 ring
             })?;
             senders.push(tx.bind(handle.thread().clone()));
@@ -865,48 +881,24 @@ impl<K: KeyBits, E: FrequencyEstimator<K> + Clone + Sync> WindowedShardedMonitor
         }
     }
 
-    fn refresh_query_cache(&mut self) {
-        let snaps: Vec<Arc<ShardSnapshot<K, E>>> =
-            self.snapshots.iter().map(|s| s.load_full()).collect();
-        let epochs: Vec<u64> = snaps.iter().map(|s| s.epoch).collect();
-        if let Some((cached, _)) = &self.query_cache {
-            if *cached == epochs {
-                return;
-            }
-        }
-        let merged = merge_snapshots(&snaps);
-        self.query_cache = Some((epochs, merged));
-    }
-
     /// Live sliding-window `Output(θ)` over the latest per-shard
     /// merged-window snapshots — never joins or blocks the workers, stale
-    /// by at most one pane. Cached keyed by the snapshot epoch vector
-    /// like [`ShardedMonitor::query`].
+    /// by at most one pane. Cached keyed by the identity of the published
+    /// summaries like [`ShardedMonitor::query`], so polls between
+    /// rotations reuse one merge even though every marker bumps an epoch.
     pub fn query(&mut self, theta: f64) -> Vec<HeavyHitter<K>> {
-        self.refresh_query_cache();
-        self.query_cache
-            .as_ref()
-            .expect("cache refreshed above")
-            .1
-            .output(theta)
+        cached_merge(&self.snapshots, &mut self.query_cache).output(theta)
     }
 
-    /// [`WindowedShardedMonitor::query`] without the epoch cache.
+    /// [`WindowedShardedMonitor::query`] without the cache.
     #[must_use]
     pub fn query_fresh(&self, theta: f64) -> Vec<HeavyHitter<K>> {
-        let snaps: Vec<Arc<ShardSnapshot<K, E>>> =
-            self.snapshots.iter().map(|s| s.load_full()).collect();
-        merge_snapshots(&snaps).output(theta)
+        merge_summaries(&latest_summaries(&self.snapshots)).output(theta)
     }
 
     /// Packets covered by the current snapshot merge.
     pub fn query_coverage(&mut self) -> u64 {
-        self.refresh_query_cache();
-        self.query_cache
-            .as_ref()
-            .expect("cache refreshed above")
-            .1
-            .packets()
+        cached_merge(&self.snapshots, &mut self.query_cache).packets()
     }
 
     /// Failure-injection hook for chaos tests; see
@@ -976,7 +968,7 @@ impl<E: FrequencyEstimator<u64> + Clone + Sync> DataplaneMonitor
 mod tests {
     use super::*;
     use crate::handoff::Handoff;
-    use hhh_counters::CompactSpaceSaving;
+    use hhh_counters::{CompactSpaceSaving, DispatchedEstimator};
     use hhh_hierarchy::pack2;
     use std::time::{Duration, Instant};
 
@@ -1385,6 +1377,100 @@ mod tests {
         );
         let merged = mon.harvest_window().expect("healthy pipeline");
         assert_eq!(merged.packets(), 20_000);
+    }
+
+    #[test]
+    fn windowed_republish_shares_one_merge_until_next_rotation() {
+        let lat = hhh_hierarchy::Lattice::ipv4_src_dst_bytes();
+        let mut mon = WindowedShardedMonitor::<u64, SpaceSaving<u64>>::spawn(
+            lat,
+            config(),
+            1,
+            256,
+            40_000,
+            4,
+        )
+        .expect("spawn workers");
+        let stream = attack_stream(20_000, 47);
+        // Half-way into the second pane: one rotation, whose publication
+        // is epoch 1 and carries the merged window every marker reuses.
+        for &k in &stream[..15_000] {
+            mon.update(k);
+        }
+        assert_eq!(mon.panes_completed(), 1);
+        wait_until(|| mon.snapshot_epochs()[0] == 1);
+        let window = Arc::clone(&mon.snapshots[0].load_full().summary);
+        let coverage = mon.query_coverage();
+        let merged = Arc::clone(&mon.query_cache.as_ref().expect("cache filled").merged);
+        let polls = 4;
+        let mut batches = mon.snapshots[0].load_full().batches;
+        for (poll, chunk) in stream[15_000..19_000].chunks(1_000).enumerate() {
+            mon.update_batch(chunk);
+            mon.publish_now();
+            let epoch = 2 + poll as u64;
+            wait_until(|| mon.snapshot_epochs()[0] == epoch);
+            let snap = mon.snapshots[0].load_full();
+            assert!(
+                snap.batches > batches,
+                "each marker reports the batches fed"
+            );
+            batches = snap.batches;
+            assert!(
+                Arc::ptr_eq(&snap.summary, &window),
+                "poll {poll}: a marker between rotations must share the merged window"
+            );
+            assert_eq!(mon.query_coverage(), coverage);
+            assert!(
+                Arc::ptr_eq(
+                    &mon.query_cache.as_ref().expect("cache filled").merged,
+                    &merged
+                ),
+                "poll {poll}: an unchanged summary must not rebuild the query cache"
+            );
+            assert_eq!(mon.query(0.1), mon.query_fresh(0.1));
+        }
+        assert_eq!(mon.snapshot_epochs(), vec![1 + polls]);
+        // The next rotation merges afresh, and the cache follows it.
+        mon.update_batch(&stream[19_000..]);
+        assert_eq!(mon.panes_completed(), 2);
+        wait_until(|| mon.snapshot_epochs()[0] == 2 + polls);
+        assert!(!Arc::ptr_eq(&mon.snapshots[0].load_full().summary, &window));
+        assert_eq!(mon.query_coverage(), 20_000);
+        assert!(!Arc::ptr_eq(
+            &mon.query_cache.as_ref().expect("cache filled").merged,
+            &merged
+        ));
+    }
+
+    /// Fed to an exact pane boundary, the live answer and the harvest
+    /// cover the same completed panes and must agree bit for bit.
+    fn live_window_answer_equals_harvest<E: FrequencyEstimator<u64> + Clone + Sync>() {
+        let lat = hhh_hierarchy::Lattice::ipv4_src_dst_bytes();
+        let mut mon = WindowedShardedMonitor::<u64, E>::spawn(lat, config(), 1, 256, 40_000, 4)
+            .expect("spawn workers");
+        for &k in &attack_stream(50_000, 53) {
+            mon.update(k);
+        }
+        assert_eq!(mon.panes_completed(), 5);
+        mon.publish_now();
+        // Five rotations, then the marker.
+        wait_until(|| mon.snapshot_epochs()[0] == 6);
+        assert_eq!(mon.query_coverage(), 40_000);
+        let live = mon.query(0.1);
+        assert!(!live.is_empty(), "the planted attack must be reported");
+        let harvested = mon.harvest_window().expect("healthy pipeline");
+        assert_eq!(harvested.packets(), 40_000);
+        assert_eq!(live, harvested.output(0.1));
+    }
+
+    #[test]
+    fn live_window_equals_harvest_compact() {
+        live_window_answer_equals_harvest::<CompactSpaceSaving<u64>>();
+    }
+
+    #[test]
+    fn live_window_equals_harvest_dispatched() {
+        live_window_answer_equals_harvest::<DispatchedEstimator<u64>>();
     }
 
     #[test]
